@@ -44,7 +44,7 @@ pub use unit::{
     AdapterStats, FifoFull, WirePacket, ENTRY_BYTES, HEADER_BYTES, MAX_PAYLOAD,
     RECV_ENTRIES_PER_NODE, SEND_FIFO_ENTRIES,
 };
-pub use world::{SpConfig, SpMsg, SpWorld};
+pub use world::{run_machine, SpConfig, SpMsg, SpWorld};
 
 // Downstream crates configure the fabric through `SpConfig.switch`; re-export
 // the routing policy so they need not depend on `sp-switch` directly.

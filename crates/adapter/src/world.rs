@@ -4,7 +4,7 @@
 use crate::config::AdapterConfig;
 use crate::unit::{Adapter, AdapterStats, WirePacket};
 use sp_machine::CostModel;
-use sp_sim::{Dur, EventCtx, ShardMsg, Shardable, Time};
+use sp_sim::{Dur, EventCtx, ShardMsg, Shardable, Sim, SimError, SimReport, Time};
 use sp_switch::{LinkId, RoutePolicy, StagedTransit, Switch, SwitchConfig, Topology, Transit};
 use sp_trace::{Kind, Tracer, Track};
 
@@ -21,12 +21,12 @@ pub struct SpConfig {
     pub topology: Topology,
     /// Adapter firmware/DMA parameters.
     pub adapter: AdapterConfig,
-    /// Number of engine shards to run the simulation on (1 = the classic
-    /// serial engine; >= 2 selects [`sp_sim::Sim::run_parallel`]).
-    /// Multi-frame topologies, fault injection, and pre-scheduled world
-    /// events all run sharded with results bit-identical to serial; the
-    /// one remaining restriction is round-robin routing (the adaptive
-    /// policy reads link occupancy across shards).
+    /// Number of engine shards to run the simulation on (1 = one shard; 2
+    /// or more selects [`sp_sim::Sim::run_parallel`]). Multi-frame
+    /// topologies, fault injection, and pre-scheduled world events all run
+    /// sharded with results bit-identical to serial; adaptive routing reads
+    /// link occupancy across shards, so it runs on one shard whatever this
+    /// asks for (see [`run_machine`]).
     pub parallel: usize,
 }
 
@@ -582,6 +582,27 @@ fn deliver_step<P: Send + 'static>(e: &mut EventCtx<'_, SpWorld<P>>, dst: u64, s
 
 /// Sharding the SP machine for the conservative-parallel engine.
 ///
+/// Run an SP machine simulation to completion on `parallel` engine shards
+/// (`<= 1`: one shard). Adaptive routing reads link occupancy across the
+/// whole fabric, which no shard's slice can see, so an adaptively routed
+/// machine runs on one shard whatever `parallel` asks for; the requested
+/// count stays visible in [`SimReport::shards_requested`]. Every machine
+/// layer (AM, MPL) picks its shard count here.
+pub fn run_machine<P: Send + Clone + 'static>(
+    mut sim: Sim<SpWorld<P>>,
+    parallel: usize,
+) -> Result<SimReport<SpWorld<P>>, SimError> {
+    if parallel < 2 {
+        return sim.run();
+    }
+    if sim.world_mut().switch.config().route_policy == RoutePolicy::Adaptive {
+        let mut report = sim.run()?;
+        report.shards_requested = parallel;
+        return Ok(report);
+    }
+    sim.run_parallel(parallel)
+}
+
 /// The conservative lookahead is the minimum virtual-time distance between
 /// a source-shard event and its earliest possible effect on another shard.
 /// The only cross-shard channel is a packet transit, staged through the

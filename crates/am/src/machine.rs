@@ -52,7 +52,8 @@ pub struct AmReport {
     /// Per-shard engine breakdown (empty on a serial run).
     pub shards: Vec<ShardReport>,
     /// Shards requested via [`SpConfig::parallel`] before clamping to the
-    /// node count; compare with `shards.len()` to detect a clamp.
+    /// node count or falling back to one shard for adaptive routing;
+    /// compare with `shards.len()` to detect either.
     pub shards_requested: usize,
     /// Synchronization (inter-shard hand-off) events, not counted in
     /// `events` — the parallel engine's overhead stream.
@@ -179,20 +180,16 @@ impl AmMachine {
         }
     }
 
-    /// Run to completion — on the serial engine, or sharded across
+    /// Run to completion — on one shard, or sharded across
     /// [`SpConfig::parallel`] conservative-parallel shards when that is
     /// `>= 2`. Multi-frame topologies, fault injection, and
     /// [`AmMachine::schedule_world_at`] all replay identically under any
-    /// shard count; adaptive routing is the one remaining serial-only
-    /// feature.
+    /// shard count; an adaptively routed machine runs on one shard (see
+    /// [`sp_adapter::run_machine`]).
     pub fn run(self) -> Result<AmReport, SimError> {
         assert_eq!(self.spawned, self.nodes, "every node needs a program");
         let mem = self.mem;
-        let report = if self.parallel >= 2 {
-            self.sim.run_parallel(self.parallel)?
-        } else {
-            self.sim.run()?
-        };
+        let report = sp_adapter::run_machine(self.sim, self.parallel)?;
         Ok(AmReport {
             end_time: report.end_time,
             events: report.events,

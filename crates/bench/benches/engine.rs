@@ -1,12 +1,18 @@
 //! Wall-clock throughput benches of the DES engine itself, used to track
 //! the engine fast path (zero-handoff `advance`, allocation-free hot
-//! events). Run with `cargo bench --bench engine`; the repo records
-//! baseline and current numbers in `BENCH_engine.json`.
+//! events) and the cost of baton handoffs. Run with
+//! `cargo bench --bench engine`; the repo records baseline and current
+//! numbers in `BENCH_engine.json`.
+//!
+//! The first five workloads run `Sim::run`, the engine's one-shard case:
+//! a yielding node drives the event loop itself and hands its baton
+//! straight to the next woken node. The `parallel-*` workloads run the
+//! same loop on N shards synchronized at window barriers.
 //!
 //! Workloads:
 //! * **empty-poll** — the dominant pattern of every AM program: nodes spin
-//!   on an empty receive FIFO, charging the poll cost each time. Before the
-//!   fast path this paid two context switches per poll.
+//!   on an empty receive FIFO, charging the poll cost each time (the
+//!   zero-handoff fast path).
 //! * **advance** — pure virtual-time charging on a single node.
 //! * **ping-pong-storm** — park/unpark rendezvous pairs; this is the slow
 //!   path (real handoffs) and must not regress.

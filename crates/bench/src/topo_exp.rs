@@ -324,13 +324,6 @@ fn fault_machine(
     iters: u32,
     shards: usize,
 ) -> (AmMachine, sp_trace::Tracer, SpConfig) {
-    // Adaptive routing is the sharded engine's one remaining serial-only
-    // feature; fall back rather than panic in the split.
-    let shards = if policy == RoutePolicy::Adaptive {
-        1
-    } else {
-        shards
-    };
     let cfg = SpConfig::multi_frame(2, k).routed(policy).parallel(shards);
     let am_cfg = AmConfig {
         keepalive_polls: 64,

@@ -8,9 +8,7 @@ use sp_mpi::{Mpi, MpiAm, MpiAmConfig, MpiSt};
 use sp_sim::{Dur, Time};
 use sp_splitc::backend::am::{AmGas, SplitcSt};
 use sp_splitc::Gas;
-use sp_switch::{
-    FaultInjector, FaultKind, FaultWindow, PartitionWindow, RoutePolicy, SwitchStats, Topology,
-};
+use sp_switch::{FaultInjector, FaultKind, FaultWindow, PartitionWindow, SwitchStats, Topology};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -148,13 +146,6 @@ fn run_inner(s: &Schedule, trace: bool, shards: usize) -> RunOutcome {
         )
     } else {
         (nodes, sp_adapter::SpConfig::thin(nodes))
-    };
-    // Adaptive routing is the one remaining serial-only feature of the
-    // sharded engine; schedules exercising it fall back to serial.
-    let shards = if s.route_policy == RoutePolicy::Adaptive {
-        1
-    } else {
-        shards
     };
     let sp = sp.parallel(shards);
     let cost = sp.cost.clone();

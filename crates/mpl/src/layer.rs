@@ -414,14 +414,11 @@ impl MplMachine {
     }
 
     /// Run to completion — sharded across [`SpConfig::parallel`]
-    /// conservative-parallel shards when that is `>= 2`.
+    /// conservative-parallel shards when that is `>= 2` (an adaptively
+    /// routed machine runs on one shard; see [`sp_adapter::run_machine`]).
     pub fn run(self) -> Result<MplReport, SimError> {
         assert_eq!(self.spawned, self.nodes, "every node needs a program");
-        let report = if self.parallel >= 2 {
-            self.sim.run_parallel(self.parallel)?
-        } else {
-            self.sim.run()?
-        };
+        let report = sp_adapter::run_machine(self.sim, self.parallel)?;
         Ok(MplReport {
             end_time: report.end_time,
             events: report.events,

@@ -11,11 +11,18 @@
 //! A [`Sim`] owns a *world* (the mutable hardware state — switch, adapters,
 //! …; any `W: Send`), an event queue ordered by virtual [`Time`], and a set
 //! of *node programs*. Each node program is an ordinary Rust closure running
-//! on its own OS thread, but **exactly one thread executes at any instant**:
-//! a node hands control back to the engine whenever it charges virtual time
-//! ([`NodeCtx::advance`]) or blocks ([`NodeCtx::park`]). Events are executed
-//! in `(time, insertion-sequence)` order, so every run is bit-deterministic
-//! regardless of OS scheduling.
+//! on its own OS thread, but **exactly one thread executes at any instant**.
+//! There is no engine thread: a node that charges virtual time
+//! ([`NodeCtx::advance`]) or blocks ([`NodeCtx::park`]) drives the event
+//! loop itself, executing hardware events until the next node wake, and
+//! then either resumes in place (its own wake) or hands its baton to the
+//! woken node. Events are executed in `(time, insertion-sequence)` order,
+//! so every run is bit-deterministic regardless of OS scheduling.
+//!
+//! There is one engine with two cases. [`Sim::run`] drives one shard that
+//! owns the whole world. [`Sim::run_parallel`] partitions the nodes into N
+//! shards, each driven the same way, that synchronize at conservative
+//! lookahead-window barriers ([`Shardable`]).
 //!
 //! This "thread-backed coroutine" style lets protocol and benchmark code be
 //! written as straight-line blocking Rust — exactly the shape of the C code

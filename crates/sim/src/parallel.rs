@@ -1,11 +1,32 @@
-//! Sharded conservative-parallel execution: [`Sim::run_parallel`].
+//! The engine's one drive loop: [`Sim::run`] runs it on one shard,
+//! [`Sim::run_parallel`] on N shards synchronized at window barriers.
 //!
-//! ## Model
+//! ## Who drives a shard?
+//!
+//! There is no engine thread. Every node program runs on its own OS thread,
+//! and a shard's node threads pass the *driving* role cooperatively:
+//! whenever a node yields (sleep/park), it releases its baton and becomes
+//! the shard's driver, popping events and executing hardware events itself
+//! until the next event is a node wake. If that is its own wake, it resumes
+//! in place with zero context switches; otherwise it grants the woken
+//! node's baton and waits for its own. A node whose program returned keeps
+//! driving until it hands the role on, and the calling thread drives each
+//! run's first events until the first grant. Exactly one thread per shard
+//! executes at any instant, which is what makes world access
+//! data-race-free.
+//!
+//! ## One shard
+//!
+//! A one-shard run owns the whole world, has no horizon (`Time::MAX`) and
+//! ends when its queue drains: it runs no barrier and no windows, and any
+//! `W: Send` can run on it.
+//!
+//! ## N shards
 //!
 //! Nodes are partitioned into `num_shards` *shards* by a block map
 //! (`owner[i] = i * num_shards / num_nodes`). Each shard owns a private
 //! event heap, local clock, and world slice (see [`Shardable::split`]); the
-//! existing zero-handoff fast advance remains the intra-shard hot path.
+//! zero-handoff fast advance remains the intra-shard hot path.
 //! Shards advance conservatively in *lookahead windows*: with `M` the
 //! global minimum pending-event time and `L` the world's lookahead
 //! ([`Shardable::lookahead`] — for the SP world, the minimum latency any
@@ -27,35 +48,23 @@
 //! synchronization overhead stays observable ([`SimReport::sync_events`],
 //! [`SimReport::windows`]).
 //!
-//! ## Who drives a shard?
-//!
-//! There is no per-shard engine thread. The node threads of a shard pass a
-//! *driving* role cooperatively: whenever a node yields (sleep/park), it
-//! releases its baton and becomes the shard's driver, popping events and
-//! granting batons until either its own wake surfaces (it resumes with zero
-//! context switches — [`Drive::SelfRun`]) or it grants another node and
-//! parks itself. This keeps the single-runner-per-shard discipline that
-//! makes world access data-race-free, while cutting the two context
-//! switches per yield that the serial engine thread costs.
-//!
 //! ## Determinism
 //!
-//! Within a shard, execution is the serial engine verbatim: events in
-//! `(time, seq)` order. Across shards, every hand-off is timestamped and
-//! applied in `(timestamp, source sequence, source shard)` order at a
-//! barrier whose placement depends only on virtual time — never on OS
-//! scheduling. Runs are therefore
+//! Within a shard, events run in `(time, seq)` order. Across shards, every
+//! hand-off is timestamped and applied in `(timestamp, source sequence,
+//! source shard)` order at a barrier whose placement depends only on
+//! virtual time — never on OS scheduling. Runs are therefore
 //! reproducible for a fixed `(config, seed, num_shards)`, and for workloads
 //! whose cross-shard interactions are the world's own hand-offs (packets),
 //! end time, event count, and world state match the serial run exactly —
 //! see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
-    exec_event, stats, EvKind, EventCtx, Inner, NState, NodeId, NodeMeta, Sched, ShardProfile,
-    ShardReport, ShardSlot, Shared, Sim, SimReport,
+    broadcast_kind, exec_event, replay_unpark, stats, EvKind, EventCtx, GlobalBudget, Inner,
+    NState, NodeId, NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
 };
 use crate::error::SimError;
-use crate::node::{Baton, Drive, NodeCtx, ShardDriver, ShutdownToken, WakeReason};
+use crate::node::{Baton, NodeCtx, ShutdownToken, WakeReason};
 use crate::time::{Dur, Time};
 use parking_lot::{Condvar, Mutex};
 use sp_trace::{Kind as TraceKind, Track};
@@ -159,11 +168,12 @@ impl Default for Arrive {
     }
 }
 
-/// Inbound cross-shard message: `(src_shard, ts, seq, msg)`.
-type Inbound<W> = (usize, Time, u64, <W as Shardable>::Msg);
+/// Inbound cross-shard message, already wrapped as the sync event that
+/// applies it: `(src_shard, ts, seq, event)`.
+type Inbound<W> = (usize, Time, u64, EvKind<W>);
 
-/// Barrier / completion state shared by all shards of one parallel run.
-struct GState<W: Shardable> {
+/// Barrier / completion state shared by all shards of one run.
+struct GState<W: Send + 'static> {
     /// Per-destination-shard inbound messages.
     inbox: Vec<Vec<Inbound<W>>>,
     /// Per-destination-shard deferred cross-shard unparks:
@@ -195,22 +205,68 @@ struct GState<W: Shardable> {
     prev_counts: Vec<u64>,
     /// Sum of closed windows' widths, virtual ns.
     window_ns: u64,
-    /// All queues drained (clean completion).
-    finished: bool,
     /// First error raised by any shard (budget, panic).
     failed: Option<SimError>,
     /// Run must stop (finished or failed).
     stop: bool,
 }
 
-/// Everything the shard drive loops share: the per-shard engines, every
-/// node's baton, the ownership map, and the barrier.
-struct SyncCore<W: Shardable> {
-    shards: Vec<Arc<Shared<W>>>,
-    batons: Vec<Arc<Baton>>,
+impl<W: Send + 'static> GState<W> {
+    fn new(num_shards: usize) -> Self {
+        GState {
+            inbox: (0..num_shards).map(|_| Vec::new()).collect(),
+            unparks: (0..num_shards).map(|_| Vec::new()).collect(),
+            next: vec![None; num_shards],
+            arrived: 0,
+            round: 0,
+            windows: 0,
+            cross_unparks: 0,
+            window_start: Time::ZERO,
+            window_horizon: Time::ZERO,
+            arrive: vec![Arrive::default(); num_shards],
+            busy_ns: vec![0; num_shards],
+            active_windows: vec![0; num_shards],
+            prev_counts: vec![0; num_shards],
+            window_ns: 0,
+            failed: None,
+            stop: false,
+        }
+    }
+}
+
+/// The cross-shard exchange of an N-shard run; a one-shard run has none.
+/// The drive loop reaches the world's [`Shardable`] hooks only through
+/// `take_outbound`, so the loop itself runs any `W: Send`.
+struct Exchange<W: Send + 'static> {
+    /// Node→shard ownership map.
     owner: Arc<Vec<usize>>,
+    /// The world's [`Shardable::lookahead`].
     lookahead: Dur,
-    num_shards: usize,
+    /// [`take_outbound`] for the run's world type.
+    take_outbound: fn(&mut W) -> Vec<ShardMsg<EvKind<W>>>,
+}
+
+/// Drain a world slice's outbound messages, each wrapped as the sync event
+/// that applies it on its destination shard.
+fn take_outbound<W: Shardable>(w: &mut W) -> Vec<ShardMsg<EvKind<W>>> {
+    w.take_messages()
+        .into_iter()
+        .map(|m| ShardMsg {
+            ts: m.ts,
+            seq: m.seq,
+            dst_shard: m.dst_shard,
+            msg: EvKind::sync_call(move |e| W::apply_msg(e, m.msg)),
+        })
+        .collect()
+}
+
+/// Everything one run's drive loops share: the per-shard engines, every
+/// node's baton, the cross-shard exchange (N shards only), and the
+/// completion state.
+pub(crate) struct Core<W: Send + 'static> {
+    pub(crate) shards: Vec<Arc<Shared<W>>>,
+    pub(crate) batons: Vec<Arc<Baton>>,
+    exchange: Option<Exchange<W>>,
     state: Mutex<GState<W>>,
     cv: Condvar,
     /// Mirror of `GState::stop` readable without the state lock (drive
@@ -219,13 +275,13 @@ struct SyncCore<W: Shardable> {
     tracer: Option<sp_trace::Tracer>,
 }
 
-impl<W: Shardable> SyncCore<W> {
-    /// Record a fatal error and release everyone. Callers must not hold any
-    /// shard's inner lock.
-    fn fail(&self, err: SimError) {
+impl<W: Send + 'static> Core<W> {
+    /// End the run — with `err` if it failed — and release everyone.
+    /// Callers must not hold any shard's inner lock.
+    fn stop(&self, err: Option<SimError>) {
         let mut st = self.state.lock();
         if st.failed.is_none() {
-            st.failed = Some(err);
+            st.failed = err;
         }
         st.stop = true;
         self.stopped.store(true, Ordering::Release);
@@ -253,7 +309,7 @@ impl<W: Shardable> SyncCore<W> {
         };
         let width = end.as_ns().saturating_sub(start.as_ns());
         st.window_ns = st.window_ns.saturating_add(width);
-        for sid in 0..self.num_shards {
+        for sid in 0..self.shards.len() {
             let a = st.arrive[sid];
             let busy = a.now.as_ns().saturating_sub(start.as_ns()).min(width);
             st.busy_ns[sid] += busy;
@@ -285,27 +341,29 @@ impl<W: Shardable> SyncCore<W> {
     /// failed).
     fn barrier(
         &self,
+        x: &Exchange<W>,
         sid: usize,
-        msgs: Vec<ShardMsg<W::Msg>>,
+        msgs: Vec<ShardMsg<EvKind<W>>>,
         unparks: Vec<(NodeId, Time)>,
         next: Option<Time>,
         arrive: Arrive,
     ) -> bool {
+        let num_shards = self.shards.len();
         let mut st = self.state.lock();
         if st.stop {
             return false;
         }
         for m in msgs {
-            debug_assert!(m.dst_shard < self.num_shards);
+            debug_assert!(m.dst_shard < num_shards);
             st.inbox[m.dst_shard].push((sid, m.ts, m.seq, m.msg));
         }
         for (node, t) in unparks {
-            st.unparks[self.owner[node.0]].push((node, t, sid));
+            st.unparks[x.owner[node.0]].push((node, t, sid));
         }
         st.next[sid] = next;
         st.arrive[sid] = arrive;
         st.arrived += 1;
-        if st.arrived < self.num_shards {
+        if st.arrived < num_shards {
             let round = st.round;
             while st.round == round && !st.stop {
                 self.cv.wait(&mut st);
@@ -319,7 +377,7 @@ impl<W: Shardable> SyncCore<W> {
         // barrier (in `cv.wait`, without its inner).
         st.arrived = 0;
         self.finalize_window(&mut st);
-        for dst in 0..self.num_shards {
+        for dst in 0..num_shards {
             let mut msgs = std::mem::take(&mut st.inbox[dst]);
             let mut unparks = std::mem::take(&mut st.unparks[dst]);
             if msgs.is_empty() && unparks.is_empty() {
@@ -334,11 +392,9 @@ impl<W: Shardable> SyncCore<W> {
             msgs.sort_by_key(|(src, ts, seq, _)| (*ts, *seq, *src));
             unparks.sort_by_key(|(node, t, src)| (*t, *src, node.0));
             let inner = &mut *self.shards[dst].inner.lock();
-            for (_src, ts, _seq, msg) in msgs {
+            for (_src, ts, _seq, ev) in msgs {
                 let at = ts.max(inner.now);
-                inner
-                    .sched
-                    .push(at, EvKind::sync_call(move |e| W::apply_msg(e, msg)));
+                inner.sched.push(at, ev);
             }
             for (node, t, _src) in unparks {
                 st.cross_unparks += 1;
@@ -350,10 +406,9 @@ impl<W: Shardable> SyncCore<W> {
                 // application would wrongly coalesce the second; see
                 // `replay_unpark` for the in-flight-wake requeue.
                 let at = t.max(inner.now);
-                inner.sched.push(
-                    at,
-                    EvKind::sync_call(move |e| crate::engine::replay_unpark(e, node)),
-                );
+                inner
+                    .sched
+                    .push(at, EvKind::sync_call(move |e| replay_unpark(e, node)));
             }
             st.next[dst] = inner.sched.peek_time();
         }
@@ -362,7 +417,6 @@ impl<W: Shardable> SyncCore<W> {
         match m {
             None => {
                 // Every queue drained and no traffic in flight: done.
-                st.finished = true;
                 st.stop = true;
                 self.stopped.store(true, Ordering::Release);
                 st.round += 1;
@@ -370,7 +424,7 @@ impl<W: Shardable> SyncCore<W> {
                 false
             }
             Some(m) => {
-                let horizon = m.saturating_add(self.lookahead);
+                let horizon = m.saturating_add(x.lookahead);
                 for s in &self.shards {
                     s.inner.lock().horizon = horizon;
                 }
@@ -387,22 +441,32 @@ impl<W: Shardable> SyncCore<W> {
         }
     }
 
-    /// One shard's event loop: pop-and-execute below the horizon, grant
-    /// batons to woken nodes, arrive at the barrier when the window is
-    /// exhausted. Returns when the baton moved to another node
-    /// ([`Drive::Handed`]), the caller's own wake surfaced
-    /// ([`Drive::SelfRun`]), or the run ended ([`Drive::Shutdown`]).
-    fn drive(&self, sid: usize, me: Option<NodeId>) -> Drive {
+    /// The event loop of shard `sid`: pop-and-execute below the horizon and
+    /// grant batons to woken nodes. When the horizon is reached, an N-shard
+    /// run arrives at the barrier; a one-shard run has drained its queue
+    /// and ends. Returns the wake of `me` if it surfaced (the caller resumes
+    /// in place, with zero hand-offs), or `None` once the baton moved to
+    /// another node or the run ended; the caller then waits on its baton
+    /// (for its next grant or the teardown `Exit`).
+    pub(crate) fn drive(&self, sid: usize, me: Option<NodeId>) -> Option<(Time, WakeReason)> {
         let shared = &self.shards[sid];
+        // Held across consecutive hardware events; released only to hand
+        // off, stop, or wait at the barrier.
+        let mut inner = shared.inner.lock();
         loop {
             if self.stopped.load(Ordering::Acquire) {
-                return Drive::Shutdown;
+                return None;
             }
-            let mut inner = shared.inner.lock();
             let horizon = inner.horizon;
             let Some(ev) = inner.sched.pop_before(horizon) else {
+                let Some(x) = &self.exchange else {
+                    // One shard: the queue drained, so the run is over.
+                    drop(inner);
+                    self.stop(None);
+                    return None;
+                };
                 // Window exhausted: flush outbound traffic and synchronize.
-                let msgs = inner.world.take_messages();
+                let msgs = (x.take_outbound)(&mut inner.world);
                 let unparks = match &mut inner.shard {
                     Some(s) => std::mem::take(&mut s.remote_unparks),
                     None => Vec::new(),
@@ -414,10 +478,11 @@ impl<W: Shardable> SyncCore<W> {
                     heap: inner.sched.len(),
                 };
                 drop(inner);
-                if self.barrier(sid, msgs, unparks, next, arrive) {
-                    continue;
+                if !self.barrier(x, sid, msgs, unparks, next, arrive) {
+                    return None;
                 }
-                return Drive::Shutdown;
+                inner = shared.inner.lock();
+                continue;
             };
             if ev.kind.is_sync() {
                 inner.sync_events += 1;
@@ -432,23 +497,22 @@ impl<W: Shardable> SyncCore<W> {
             } else {
                 inner.events += 1;
                 // The event budget is one run-wide atomic shared by every
-                // shard and charged for serial-comparable events only, so a
-                // parallel run trips at the same global event count as its
-                // serial twin (not `num_shards`× later). The reported `at`
-                // is the window horizon — deterministic for a fixed shard
-                // count, where the tripping shard's local clock is not.
-                if let Some(g) = &inner.global_budget {
-                    if !g.charge() {
-                        let at = if horizon == Time::MAX {
-                            inner.now
-                        } else {
-                            horizon
-                        };
-                        let budget = g.limit;
-                        drop(inner);
-                        self.fail(SimError::EventBudgetExhausted { at, budget });
-                        return Drive::Shutdown;
-                    }
+                // shard and charged for serial-comparable events only, so an
+                // N-shard run trips at the same global event count as its
+                // one-shard twin (not `num_shards`× later). The reported
+                // `at` is the window horizon — deterministic for a fixed
+                // shard count, where the tripping shard's local clock is
+                // not.
+                if !inner.global_budget.charge() {
+                    let at = if horizon == Time::MAX {
+                        inner.now
+                    } else {
+                        horizon
+                    };
+                    let budget = inner.global_budget.limit;
+                    drop(inner);
+                    self.stop(Some(SimError::EventBudgetExhausted { at, budget }));
+                    return None;
                 }
             }
             debug_assert!(ev.time >= inner.now, "shard queue went backwards");
@@ -466,10 +530,12 @@ impl<W: Shardable> SyncCore<W> {
                             NState::Startup | NState::Sleeping | NState::Parked | NState::SleepInt
                         );
                     if !runnable {
-                        continue; // stale wake (still counted, as in serial)
+                        continue; // stale wake (still counted)
                     }
                     meta.epoch += 1;
                     meta.state = NState::Running;
+                    // The queued unpark (if any) is consumed by this wake;
+                    // later unparks must queue a fresh event.
                     meta.unpark_queued = false;
                     if let Some(t) = &inner.tracer {
                         t.instant(
@@ -481,13 +547,10 @@ impl<W: Shardable> SyncCore<W> {
                     }
                     drop(inner);
                     if me == Some(node) {
-                        // The driver's own wake: resume in place, zero
-                        // hand-offs (the parallel twin of the serial
-                        // fast-advance elision).
-                        return Drive::SelfRun(ev.time, reason);
+                        return Some((ev.time, reason));
                     }
                     self.batons[node.0].grant(ev.time, reason);
-                    return Drive::Handed;
+                    return None;
                 }
                 kind => exec_event(&mut inner, ev.time, kind),
             }
@@ -495,65 +558,61 @@ impl<W: Shardable> SyncCore<W> {
     }
 }
 
-/// Adapter from one shard of a [`SyncCore`] to the [`ShardDriver`] hook a
-/// [`NodeCtx`] calls on yield.
-struct ShardRt<W: Shardable> {
-    id: usize,
-    core: Arc<SyncCore<W>>,
+/// A run that ended cleanly, before its world slices are merged.
+struct Ran<W: Send + 'static> {
+    worlds: Vec<W>,
+    end_time: Time,
+    events: u64,
+    wakes_coalesced: u64,
+    shards: Vec<ShardReport>,
+    state: GState<W>,
 }
 
-impl<W: Shardable> ShardDriver<W> for ShardRt<W> {
-    fn drive(&self, me: Option<NodeId>) -> Drive {
-        self.core.drive(self.id, me)
-    }
-}
-
-impl<W: Shardable> Sim<W> {
-    /// Run to completion on `num_shards` OS threads' worth of shards using
-    /// conservative lookahead-window synchronization. `run_parallel(1)` is
-    /// exactly [`Sim::run`]; for supported workloads, larger shard counts
-    /// produce the same end time, event count, and final world state (see
-    /// the module docs for the argument and its limits).
-    ///
-    /// Pre-scheduled world events ([`Sim::schedule_call_at`]) are broadcast:
-    /// every shard pre-loads a replica and executes it against its own world
-    /// slice at exactly the scheduled time (shard 0's replica counts toward
-    /// `events`, the rest are `sync_events`). `num_shards` is clamped to the
-    /// node count; the requested value is recorded in
-    /// [`SimReport::shards_requested`] and a clamp is flagged in the
-    /// `[parallel]` stats summary. The event budget
-    /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
-    /// shards, charged for serial-comparable events only, so serial and
-    /// parallel runs trip `EventBudgetExhausted` at the same event count.
-    pub fn run_parallel(mut self, num_shards: usize) -> Result<SimReport<W>, SimError> {
-        assert!(num_shards >= 1, "need at least one shard");
-        let requested_shards = num_shards;
-        let num_nodes = self.programs.len();
-        let num_shards = num_shards.min(num_nodes.max(1));
-        if num_shards <= 1 {
-            let mut rep = self.run()?;
-            rep.shards_requested = requested_shards;
-            return Ok(rep);
-        }
+impl<W: Send + 'static> Sim<W> {
+    /// Run to completion: until every node program has returned and the
+    /// event queue is empty. This is the one-shard case of the drive loop
+    /// (see the module docs): no barrier, no windows, and no OS thread
+    /// beyond one per node program.
+    pub fn run(mut self) -> Result<SimReport<W>, SimError> {
         let started = std::time::Instant::now();
         let world = self.world.take().expect("world present");
+        let mut ran = self.execute(vec![world], None)?;
+        let wall = started.elapsed();
+        stats::record(ran.events, ran.wakes_coalesced, wall);
+        Ok(SimReport {
+            world: ran.worlds.pop().expect("one world"),
+            end_time: ran.end_time,
+            events: ran.events,
+            wakes_coalesced: ran.wakes_coalesced,
+            shards: Vec::new(),
+            shards_requested: 0,
+            sync_events: 0,
+            windows: 0,
+            cross_unparks: 0,
+            profile: None,
+            wall,
+        })
+    }
+
+    /// Drive one engine per world slice until the run ends: start one
+    /// thread per node program, let the calling thread (and one short-lived
+    /// thread per further shard) drive until the first hand-off, wait for
+    /// the stop, and tally the shards. `exchange` is `Some` exactly when
+    /// there is more than one slice.
+    fn execute(
+        &mut self,
+        worlds: Vec<W>,
+        exchange: Option<Exchange<W>>,
+    ) -> Result<Ran<W>, SimError> {
         let programs = std::mem::take(&mut self.programs);
-        let lookahead = world.lookahead();
-        assert!(lookahead > Dur::ZERO, "lookahead must be positive");
-
-        // Block partition: contiguous node ranges, every shard non-empty
-        // (owner is surjective for num_shards <= num_nodes).
-        let owner: Arc<Vec<usize>> =
-            Arc::new((0..num_nodes).map(|i| i * num_shards / num_nodes).collect());
+        let num_nodes = programs.len();
+        let num_shards = worlds.len();
+        let owner: Arc<Vec<usize>> = match &exchange {
+            Some(x) => x.owner.clone(),
+            None => Arc::new(vec![0; num_nodes]),
+        };
         let tracer = self.tracer.take();
-        let worlds = world.split(num_shards, &owner);
-        assert_eq!(
-            worlds.len(),
-            num_shards,
-            "split must produce one world per shard"
-        );
-
-        let global_budget = Arc::new(crate::engine::GlobalBudget::new(self.event_budget));
+        let global_budget = Arc::new(GlobalBudget::new(self.event_budget));
         let initial = std::mem::take(&mut self.initial);
         let mut shards: Vec<Arc<Shared<W>>> = Vec::with_capacity(num_shards);
         for (sid, w) in worlds.into_iter().enumerate() {
@@ -562,7 +621,7 @@ impl<W: Shardable> Sim<W> {
             // world slice observes the mutation at exactly the scheduled
             // time; only shard 0's replica is a counted event.
             for (at, f) in &initial {
-                sched.push(*at, crate::engine::broadcast_kind(f.clone(), sid == 0));
+                sched.push(*at, broadcast_kind(f.clone(), sid == 0));
             }
             let mut nodes = Vec::with_capacity(num_nodes);
             for (i, (name, _)) in programs.iter().enumerate() {
@@ -588,15 +647,15 @@ impl<W: Shardable> Sim<W> {
                     nodes,
                     events: 0,
                     sync_events: 0,
-                    // The run-wide atomic `global_budget` is the only event
-                    // cap in parallel mode; the per-shard field would trip
-                    // each shard independently at the full budget.
-                    budget: u64::MAX,
-                    global_budget: Some(global_budget.clone()),
-                    // Zero horizon: nothing may run until the first barrier
-                    // establishes the first window.
-                    horizon: Time::ZERO,
-                    shard: Some(ShardSlot {
+                    global_budget: global_budget.clone(),
+                    // N shards: nothing may run until the first barrier
+                    // establishes the first window. One shard: no horizon.
+                    horizon: if exchange.is_some() {
+                        Time::ZERO
+                    } else {
+                        Time::MAX
+                    },
+                    shard: exchange.as_ref().map(|_| ShardSlot {
                         id: sid,
                         owner: owner.clone(),
                         remote_unparks: Vec::new(),
@@ -607,32 +666,11 @@ impl<W: Shardable> Sim<W> {
             }));
         }
 
-        let batons: Vec<Arc<Baton>> = (0..num_nodes).map(|_| Baton::new()).collect();
-        let core = Arc::new(SyncCore {
+        let core = Arc::new(Core {
             shards,
-            batons: batons.clone(),
-            owner: owner.clone(),
-            lookahead,
-            num_shards,
-            state: Mutex::new(GState {
-                inbox: (0..num_shards).map(|_| Vec::new()).collect(),
-                unparks: (0..num_shards).map(|_| Vec::new()).collect(),
-                next: vec![None; num_shards],
-                arrived: 0,
-                round: 0,
-                windows: 0,
-                cross_unparks: 0,
-                window_start: Time::ZERO,
-                window_horizon: Time::ZERO,
-                arrive: vec![Arrive::default(); num_shards],
-                busy_ns: vec![0; num_shards],
-                active_windows: vec![0; num_shards],
-                prev_counts: vec![0; num_shards],
-                window_ns: 0,
-                finished: false,
-                failed: None,
-                stop: false,
-            }),
+            batons: (0..num_nodes).map(|_| Baton::new()).collect(),
+            exchange,
+            state: Mutex::new(GState::new(num_shards)),
             cv: Condvar::new(),
             stopped: AtomicBool::new(false),
             tracer,
@@ -641,32 +679,23 @@ impl<W: Shardable> Sim<W> {
         let mut handles = Vec::with_capacity(num_nodes);
         for (i, (name, program)) in programs.into_iter().enumerate() {
             let sid = owner[i];
-            let shared = core.shards[sid].clone();
-            let baton = batons[i].clone();
             let seed = self.seed;
             let core = core.clone();
-            let thread_name = format!("sp-sim-node-{i}-{name}");
             let handle = std::thread::Builder::new()
-                .name(thread_name)
+                .name(format!("sp-sim-node-{i}-{name}"))
                 .spawn(move || {
-                    let rt: Arc<dyn ShardDriver<W>> = Arc::new(ShardRt {
-                        id: sid,
-                        core: core.clone(),
-                    });
-                    let mut ctx =
-                        NodeCtx::new(NodeId(i), num_nodes, seed, shared.clone(), baton.clone());
-                    ctx.driver = Some(rt.clone());
-                    let (t0, _) = baton.wait_for_start();
+                    let mut ctx = NodeCtx::new(NodeId(i), num_nodes, seed, core.clone(), sid);
+                    let (t0, _) = ctx.baton.wait_for_run();
                     ctx.now = t0;
                     match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
                         Ok(()) => {
-                            shared.note_done(NodeId(i));
-                            baton.release();
+                            ctx.shared.note_done(NodeId(i));
+                            ctx.baton.release();
                             // Stay on as the shard's driver: its queue may
                             // still hold events, and drained shards must
                             // keep answering barriers (and executing any
                             // late inbound messages) until the run ends.
-                            rt.drive(None);
+                            core.drive(sid, None);
                         }
                         Err(payload) => {
                             if payload.is::<ShutdownToken>() {
@@ -677,11 +706,11 @@ impl<W: Shardable> Sim<W> {
                                 .map(|s| s.to_string())
                                 .or_else(|| payload.downcast_ref::<String>().cloned())
                                 .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                            shared.note_done(NodeId(i));
-                            core.fail(SimError::NodePanicked {
+                            ctx.shared.note_done(NodeId(i));
+                            core.stop(Some(SimError::NodePanicked {
                                 node: name,
                                 message: msg,
-                            });
+                            }));
                         }
                     }
                 })
@@ -689,21 +718,22 @@ impl<W: Shardable> Sim<W> {
             handles.push(handle);
         }
 
-        // One short-lived bootstrap driver per shard: arrives at the
-        // initial barrier (horizon starts at zero), then pops the first
-        // startup wake and hands the driving role to the node threads.
-        let mut boot = Vec::with_capacity(num_shards);
-        for sid in 0..num_shards {
-            let core = core.clone();
-            boot.push(
+        // Bootstrap: every shard's first events run before any node does.
+        // The calling thread drives shard 0 and a short-lived thread each
+        // further shard (they meet at the initial barrier, as the horizon
+        // starts at zero), each up to its first hand-off to a node.
+        let boot: Vec<_> = (1..num_shards)
+            .map(|sid| {
+                let core = core.clone();
                 std::thread::Builder::new()
                     .name(format!("sp-sim-shard-{sid}"))
                     .spawn(move || {
                         core.drive(sid, None);
                     })
-                    .expect("spawn shard bootstrap thread"),
-            );
-        }
+                    .expect("spawn shard bootstrap thread")
+            })
+            .collect();
+        core.drive(0, None);
 
         // Wait for completion (clean or failed).
         {
@@ -715,71 +745,122 @@ impl<W: Shardable> Sim<W> {
         // Unwind every node thread still blocked on (or about to block on)
         // its baton; running nodes observe `Exit` at their next yield
         // (release() preserves it).
-        for baton in &batons {
+        for baton in &core.batons {
             baton.exit();
         }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        for handle in boot {
+        // A node thread torn down before its program started unwinds with
+        // the `ShutdownToken` and joins as `Err`; every real failure is
+        // already recorded in `failed`.
+        for handle in handles.into_iter().chain(boot) {
             let _ = handle.join();
         }
 
         let core = Arc::try_unwrap(core)
-            .unwrap_or_else(|_| panic!("shard threads still hold engine state"));
-        let st = core.state.into_inner();
-        let inners: Vec<Inner<W>> = core
-            .shards
-            .into_iter()
-            .map(|s| {
-                Arc::try_unwrap(s)
-                    .unwrap_or_else(|_| panic!("node threads still hold shard state"))
-                    .inner
-                    .into_inner()
-            })
-            .collect();
-
-        if let Some(err) = st.failed {
+            .unwrap_or_else(|_| panic!("node threads still hold engine state"));
+        let state = core.state.into_inner();
+        if let Some(err) = state.failed {
             return Err(err);
         }
-        let mut end_time = Time::ZERO;
+        let mut ran = Ran {
+            worlds: Vec::with_capacity(num_shards),
+            end_time: Time::ZERO,
+            events: 0,
+            wakes_coalesced: 0,
+            shards: Vec::with_capacity(num_shards),
+            state,
+        };
         let mut stuck: Vec<String> = Vec::new();
-        let mut shard_reports = Vec::with_capacity(num_shards);
-        let mut events = 0u64;
-        let mut sync_events = 0u64;
-        let mut wakes_coalesced = 0u64;
-        for (sid, inner) in inners.iter().enumerate() {
-            end_time = end_time.max(inner.now);
+        for (sid, shared) in core.shards.into_iter().enumerate() {
+            let inner = Arc::try_unwrap(shared)
+                .unwrap_or_else(|_| panic!("node threads still hold shard state"))
+                .inner
+                .into_inner();
+            ran.end_time = ran.end_time.max(inner.now);
             let mut nodes_owned = 0usize;
             for (i, meta) in inner.nodes.iter().enumerate() {
                 if owner[i] != sid {
                     continue;
                 }
                 nodes_owned += 1;
-                wakes_coalesced += meta.coalesced;
+                ran.wakes_coalesced += meta.coalesced;
                 if meta.state != NState::Done {
                     stuck.push(meta.name.clone());
                 }
             }
-            shard_reports.push(ShardReport {
+            ran.shards.push(ShardReport {
                 shard: sid,
                 nodes: nodes_owned,
                 events: inner.events,
                 sync_events: inner.sync_events,
             });
-            events += inner.events;
-            sync_events += inner.sync_events;
+            ran.events += inner.events;
+            ran.worlds.push(inner.world);
         }
         if !stuck.is_empty() {
-            debug_assert!(st.finished);
             return Err(SimError::Deadlock {
-                at: end_time,
+                at: ran.end_time,
                 parked: stuck,
             });
         }
-        let world = W::merge(inners.into_iter().map(|i| i.world).collect());
+        Ok(ran)
+    }
+}
+
+impl<W: Shardable> Sim<W> {
+    /// Run to completion on `num_shards` shards using conservative
+    /// lookahead-window synchronization. `run_parallel(1)` is exactly
+    /// [`Sim::run`]; for supported workloads, larger shard counts
+    /// produce the same end time, event count, and final world state (see
+    /// the module docs for the argument and its limits).
+    ///
+    /// Pre-scheduled world events ([`Sim::schedule_call_at`]) are broadcast:
+    /// every shard pre-loads a replica and executes it against its own world
+    /// slice at exactly the scheduled time (shard 0's replica counts toward
+    /// `events`, the rest are `sync_events`). `num_shards` is clamped to the
+    /// node count; the requested value is recorded in
+    /// [`SimReport::shards_requested`] and a clamp is flagged in the
+    /// `[parallel]` stats summary. The event budget
+    /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
+    /// shards, charged for serial-comparable events only, so serial and
+    /// parallel runs trip `EventBudgetExhausted` at the same event count.
+    pub fn run_parallel(mut self, num_shards: usize) -> Result<SimReport<W>, SimError> {
+        assert!(num_shards >= 1, "need at least one shard");
+        let requested_shards = num_shards;
+        let num_nodes = self.programs.len();
+        let num_shards = num_shards.min(num_nodes.max(1));
+        if num_shards <= 1 {
+            let mut rep = self.run()?;
+            rep.shards_requested = requested_shards;
+            return Ok(rep);
+        }
+        let started = std::time::Instant::now();
+        let world = self.world.take().expect("world present");
+        let lookahead = world.lookahead();
+        assert!(lookahead > Dur::ZERO, "lookahead must be positive");
+
+        // Block partition: contiguous node ranges, every shard non-empty
+        // (owner is surjective for num_shards <= num_nodes).
+        let owner: Arc<Vec<usize>> =
+            Arc::new((0..num_nodes).map(|i| i * num_shards / num_nodes).collect());
+        let worlds = world.split(num_shards, &owner);
+        assert_eq!(
+            worlds.len(),
+            num_shards,
+            "split must produce one world per shard"
+        );
+        let ran = self.execute(
+            worlds,
+            Some(Exchange {
+                owner,
+                lookahead,
+                take_outbound: take_outbound::<W>,
+            }),
+        )?;
+        let st = ran.state;
+        let world = W::merge(ran.worlds);
+        let sync_events = ran.shards.iter().map(|s| s.sync_events).sum();
         let wall = started.elapsed();
-        stats::record(events, wakes_coalesced, wall);
+        stats::record(ran.events, ran.wakes_coalesced, wall);
         stats::record_parallel(
             requested_shards as u64,
             num_shards as u64,
@@ -790,17 +871,17 @@ impl<W: Shardable> Sim<W> {
             windows: st.windows,
             window_ns: st.window_ns,
             busy_ns: st.busy_ns,
-            events: shard_reports.iter().map(|s| s.events).collect(),
-            sync_events: shard_reports.iter().map(|s| s.sync_events).collect(),
+            events: ran.shards.iter().map(|s| s.events).collect(),
+            sync_events: ran.shards.iter().map(|s| s.sync_events).collect(),
             active_windows: st.active_windows,
         };
         stats::record_profile(&profile);
         Ok(SimReport {
             world,
-            end_time,
-            events,
-            wakes_coalesced,
-            shards: shard_reports,
+            end_time: ran.end_time,
+            events: ran.events,
+            wakes_coalesced: ran.wakes_coalesced,
+            shards: ran.shards,
             shards_requested: requested_shards,
             sync_events,
             windows: st.windows,

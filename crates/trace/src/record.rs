@@ -29,7 +29,7 @@ pub enum Kind {
     /// Dispatch of an allocation-free hot event.
     EngineHot,
     /// A node charged virtual time; `arg` is 1 when the single-lock fast
-    /// path served the advance, 0 when the baton was handed to the engine.
+    /// path served the advance, 0 when the node slept through the drive loop.
     NodeAdvance,
     /// A node blocked in `park`/`park_timeout`; `arg` is 1 for a timeout arm.
     NodePark,

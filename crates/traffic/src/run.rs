@@ -11,7 +11,7 @@
 
 use crate::{Fnv, TrafficConfig, TrafficSchedule};
 use parking_lot::Mutex;
-use sp_adapter::{RoutePolicy, SpConfig};
+use sp_adapter::SpConfig;
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine, GlobalPtr, HandlerId};
 use sp_sim::{Dur, Time};
 use sp_trace::Digest;
@@ -53,7 +53,8 @@ pub struct TrafficReport {
     pub events: u64,
     /// Wall-clock duration of the run.
     pub wall: std::time::Duration,
-    /// Engine shards the run used after the adaptive fallback (1 = serial).
+    /// Engine shards the run used (1 = one shard, as for every adaptively
+    /// routed run; see [`sp_adapter::run_machine`]).
     pub shards: usize,
     /// Median request latency (scheduled instant → response landed), ns.
     pub p50_ns: u64,
@@ -149,14 +150,7 @@ fn tree_barrier(am: &mut Am<'_, NodeState>, gen: u32) -> u64 {
 /// Run `cfg`'s workload on the machine `sp` describes and measure it.
 ///
 /// `sp` carries the topology, routing policy, and engine shard count.
-/// Adaptive routing is the sharded engine's one serial-only feature; such
-/// configurations fall back to one shard rather than panic in the split.
 pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
-    let mut sp = sp;
-    if sp.switch.route_policy == RoutePolicy::Adaptive && sp.parallel > 1 {
-        sp.parallel = 1;
-    }
-    let shards = sp.parallel.max(1);
     let nodes = sp.nodes;
     let mut sched = TrafficSchedule::generate(cfg, nodes);
     let total_flows = sched.total_flows();
@@ -324,7 +318,7 @@ pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
         end_ns,
         events: report.events,
         wall: report.wall,
-        shards,
+        shards: report.shards.len().max(1),
         p50_ns: lat.quantile_ns(0.50),
         p99_ns: lat.quantile_ns(0.99),
         p999_ns: lat.quantile_ns(0.999),
@@ -361,6 +355,7 @@ pub fn saturation_sweep(base: &TrafficConfig, sp: &SpConfig, scales: &[f64]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_adapter::RoutePolicy;
     use sp_switch::Topology;
 
     fn small_fabric() -> SpConfig {

@@ -16,7 +16,7 @@
 //! serial-only feature.
 
 use proptest::prelude::*;
-use sp_adapter::{host, SpConfig, SpWorld};
+use sp_adapter::{host, RoutePolicy, SpConfig, SpWorld};
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine};
 use sp_mpi::runner::MpiImpl;
 use sp_nas::{run_kernel_on, Kernel, NasClass};
@@ -274,6 +274,16 @@ fn multi_frame_am_ring_parallel_matches_serial() {
             "{shards} shards diverged on 4x1 frames"
         );
     }
+}
+
+/// Adaptive routing reads link occupancy across the whole fabric, which no
+/// shard's slice can see: a machine that asks for shards anyway runs on one
+/// instead of panicking in the split, and matches its serial run exactly.
+#[test]
+fn adaptive_machine_asked_for_shards_runs_on_one() {
+    let cfg = || SpConfig::multi_frame(2, 4).routed(RoutePolicy::Adaptive);
+    let serial = am_ring_on(cfg(), 24, 1, |_| {});
+    assert_eq!(am_ring_on(cfg(), 24, 4, |_| {}), serial);
 }
 
 #[test]
