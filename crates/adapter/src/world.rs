@@ -586,8 +586,9 @@ fn deliver_step<P: Send + 'static>(e: &mut EventCtx<'_, SpWorld<P>>, dst: u64, s
 /// (`<= 1`: one shard). Adaptive routing reads link occupancy across the
 /// whole fabric, which no shard's slice can see, so an adaptively routed
 /// machine runs on one shard whatever `parallel` asks for; the requested
-/// count stays visible in [`SimReport::shards_requested`]. Every machine
-/// layer (AM, MPL) picks its shard count here.
+/// count stays visible in [`SimReport::shards_requested`] and the reason in
+/// [`SimReport::one_shard_reason`]. Every machine layer (AM, MPL) picks its
+/// shard count here.
 pub fn run_machine<P: Send + Clone + 'static>(
     mut sim: Sim<SpWorld<P>>,
     parallel: usize,
@@ -598,6 +599,7 @@ pub fn run_machine<P: Send + Clone + 'static>(
     if sim.world_mut().switch.config().route_policy == RoutePolicy::Adaptive {
         let mut report = sim.run()?;
         report.shards_requested = parallel;
+        report.one_shard_reason = Some("adaptive routing reads the whole fabric");
         return Ok(report);
     }
     sim.run_parallel(parallel)

@@ -55,6 +55,9 @@ pub struct AmReport {
     /// node count or falling back to one shard for adaptive routing;
     /// compare with `shards.len()` to detect either.
     pub shards_requested: usize,
+    /// Why a run that asked for shards ran on one (adaptive routing; see
+    /// [`sp_adapter::run_machine`]); `None` otherwise.
+    pub one_shard_reason: Option<&'static str>,
     /// Synchronization (inter-shard hand-off) events, not counted in
     /// `events` — the parallel engine's overhead stream.
     pub sync_events: u64,
@@ -199,6 +202,7 @@ impl AmMachine {
             wakes_coalesced: report.wakes_coalesced,
             shards: report.shards,
             shards_requested: report.shards_requested,
+            one_shard_reason: report.one_shard_reason,
             sync_events: report.sync_events,
             windows: report.windows,
             profile: report.profile,

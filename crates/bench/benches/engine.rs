@@ -4,7 +4,7 @@
 //! `cargo bench --bench engine`; the repo records baseline and current
 //! numbers in `BENCH_engine.json`.
 //!
-//! The first five workloads run `Sim::run`, the engine's one-shard case:
+//! The first six workloads run `Sim::run`, the engine's one-shard case:
 //! a yielding node drives the event loop itself and hands its baton
 //! straight to the next woken node. The `parallel-*` workloads run the
 //! same loop on N shards synchronized at window barriers.
@@ -16,6 +16,9 @@
 //! * **advance** — pure virtual-time charging on a single node.
 //! * **ping-pong-storm** — park/unpark rendezvous pairs; this is the slow
 //!   path (real handoffs) and must not regress.
+//! * **handoff** — 64 nodes advancing in lockstep, so every advance is a
+//!   node→node baton pass; elements are passes, so ns per element is the
+//!   cost of one pass.
 //! * **event-chain** — engine-side events rescheduling themselves.
 //! * **packet-stream** — end-to-end adapter traffic (firmware event chains,
 //!   delivery events): exercises the typed allocation-free event path.
@@ -93,6 +96,31 @@ fn ping_pong_storm(c: &mut Criterion) {
                         ctx.advance(Dur::ns(100));
                         ctx.unpark(sleeper);
                         ctx.advance(Dur::ns(50));
+                    }
+                });
+            }
+            sim.run().unwrap()
+        })
+    });
+    g.finish();
+}
+
+/// 64 nodes on one shard, each advancing 100 ns 50 times in lockstep. Every
+/// other node's wake is due before a node's next one, so the fast path
+/// never applies and each advance passes the baton to the next node; so
+/// does each node's start.
+fn handoff(c: &mut Criterion) {
+    const NODES: usize = 64;
+    const STEPS: u64 = 50;
+    let mut g = c.benchmark_group("engine");
+    g.throughput(Throughput::Elements(NODES as u64 * (STEPS + 1)));
+    g.bench_function("handoff-64x50", |b| {
+        b.iter(|| {
+            let mut sim = Sim::new((), 1);
+            for i in 0..NODES {
+                sim.spawn(format!("n{i}"), |ctx| {
+                    for _ in 0..STEPS {
+                        ctx.advance(Dur::ns(100));
                     }
                 });
             }
@@ -219,7 +247,7 @@ fn parallel_packet_stream(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(12).measurement_time(std::time::Duration::from_secs(3));
-    targets = empty_poll, advance, ping_pong_storm, event_chain, packet_stream,
+    targets = empty_poll, advance, ping_pong_storm, handoff, event_chain, packet_stream,
         parallel_ping_pong_storm, parallel_packet_stream
 }
 

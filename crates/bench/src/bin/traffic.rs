@@ -67,9 +67,11 @@ fn main() {
     for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
         let sp = sp.clone().routed(policy).parallel(shards);
         let points = saturation_sweep(&base, &sp, scales);
-        let engine = match points[0].report.shards {
-            1 => "serial".to_string(),
-            n => format!("{n} shards"),
+        let r0 = &points[0].report;
+        let engine = match (r0.shards, r0.one_shard_reason) {
+            (1, Some(why)) => format!("serial: {} shards requested, {why}", r0.shards_requested),
+            (1, None) => "serial".to_string(),
+            (n, _) => format!("{n} shards"),
         };
         println!("\n==== saturation sweep: {policy:?} ({engine}) ====\n");
         println!(

@@ -857,6 +857,10 @@ pub struct SimReport<W> {
     /// `shards.len()` the profile describes fewer shards than requested
     /// (flagged in the `[parallel]` stats summary line).
     pub shards_requested: usize,
+    /// Why the caller ran this run on one shard although more were asked
+    /// for (see `sp_adapter::run_machine`); `None` otherwise. A clamp to the
+    /// node count shows in `shards_requested` alone.
+    pub one_shard_reason: Option<&'static str>,
     /// Total synchronization events (inter-shard message deliveries) across
     /// all shards. Zero for serial runs; the null-message overhead of a
     /// parallel run is `sync_events + windows` relative to its serial twin.

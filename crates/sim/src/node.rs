@@ -6,16 +6,20 @@
 //! moment. There is no engine thread: a node that yields releases its baton
 //! and drives its shard's event loop itself (see the `parallel` module),
 //! either resuming in place when the next event is its own wake or granting
-//! the baton to the node that event wakes. The handshake is a tiny state
-//! machine guarded by a `parking_lot` mutex/condvar pair per node.
+//! the baton to the node that event wakes. The handshake is one atomic
+//! state word per node: a waiting node blocks in [`std::thread::park`], and
+//! a grant publishes `Run` and unparks the node's thread. A pass therefore
+//! costs at most one futex wake, none if the target has not parked yet,
+//! and the woken node never contends for a lock its granter holds.
 
 use crate::engine::{EvKind, NodeId, Shared};
 use crate::parallel::Core;
 use crate::time::{Dur, Time};
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// Why a blocked node program resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,15 +31,12 @@ pub enum WakeReason {
     Unparked,
 }
 
-/// Baton slot contents.
-enum Slot {
-    /// The node does not hold the baton.
-    Idle,
-    /// A driver granted the node the right to run, at virtual time `at`.
-    Run { at: Time, reason: WakeReason },
-    /// The run is being torn down; the node thread must exit.
-    Exit,
-}
+/// Baton state: the node does not hold the baton.
+const IDLE: u8 = 0;
+/// Baton state: a driver granted the node the right to run.
+const RUN: u8 = 1;
+/// Baton state: the run is being torn down; the node thread must exit.
+const EXIT: u8 = 2;
 
 /// Panic payload used to unwind a node thread during teardown.
 pub(crate) struct ShutdownToken;
@@ -43,62 +44,86 @@ pub(crate) struct ShutdownToken;
 /// One node's run permission: granted by whichever thread drives the
 /// node's shard, released by the node when it yields.
 pub(crate) struct Baton {
-    slot: Mutex<Slot>,
-    cv: Condvar,
+    /// `IDLE`, `RUN` or `EXIT`.
+    state: AtomicU8,
+    /// Virtual time of the latest grant, published by its `RUN` store.
+    at: AtomicU64,
+    /// Whether the latest grant was an unpark, published likewise.
+    unparked: AtomicBool,
+    /// The node thread that waits on this baton.
+    thread: OnceLock<Thread>,
 }
 
 impl Baton {
     pub(crate) fn new() -> Arc<Baton> {
         Arc::new(Baton {
-            slot: Mutex::new(Slot::Idle),
-            cv: Condvar::new(),
+            state: AtomicU8::new(IDLE),
+            at: AtomicU64::new(0),
+            unparked: AtomicBool::new(false),
+            thread: OnceLock::new(),
         })
+    }
+
+    /// Name the thread that waits on this baton. Must happen before the
+    /// first grant.
+    pub(crate) fn bind(&self, thread: Thread) {
+        self.thread.set(thread).expect("baton bound twice");
+    }
+
+    fn thread(&self) -> &Thread {
+        self.thread.get().expect("baton not bound to a node thread")
     }
 
     /// Teardown: tell a blocked node thread to unwind and exit.
     pub(crate) fn exit(&self) {
-        let mut slot = self.slot.lock();
-        *slot = Slot::Exit;
-        self.cv.notify_one();
+        self.state.store(EXIT, Ordering::Release);
+        self.thread().unpark();
     }
 
     /// Grant the baton to a node without blocking for its yield (the
     /// granting thread goes on driving the shard or waits for its own
-    /// grant). The target must be idle.
+    /// grant). The target must be idle; a teardown `Exit` is kept, so a
+    /// grant racing the teardown cannot resurrect the node.
     pub(crate) fn grant(&self, at: Time, reason: WakeReason) {
-        let mut slot = self.slot.lock();
-        debug_assert!(matches!(*slot, Slot::Idle), "grant: baton not idle");
-        *slot = Slot::Run { at, reason };
-        self.cv.notify_one();
+        self.at.store(at.as_ns(), Ordering::Relaxed);
+        self.unparked
+            .store(reason == WakeReason::Unparked, Ordering::Relaxed);
+        let prev = self
+            .state
+            .compare_exchange(IDLE, RUN, Ordering::Release, Ordering::Relaxed);
+        debug_assert!(prev != Err(RUN), "grant: baton not idle");
+        self.thread().unpark();
     }
 
     /// Give the baton back before driving the shard. Only replaces a
     /// `Run`; a concurrent teardown `Exit` is preserved so the thread still
-    /// unwinds at its next wait.
+    /// unwinds at its next wait. The shard lock orders this before the
+    /// node's next grant.
     pub(crate) fn release(&self) {
-        let mut slot = self.slot.lock();
-        if matches!(*slot, Slot::Run { .. }) {
-            *slot = Slot::Idle;
-        }
+        let _ = self
+            .state
+            .compare_exchange(RUN, IDLE, Ordering::Relaxed, Ordering::Relaxed);
     }
 
     /// Node side: block until a driver grants `Run` (or teardown unwinds
-    /// the thread with a [`ShutdownToken`]).
+    /// the thread with a [`ShutdownToken`]). Leaves `Run` in place: it
+    /// marks that the node holds the baton until it yields again. Only the
+    /// bound thread may wait.
     pub(crate) fn wait_for_run(&self) -> (Time, WakeReason) {
-        let mut slot = self.slot.lock();
         loop {
-            match &*slot {
-                Slot::Run { at, reason } => {
-                    let out = (*at, *reason);
-                    // Leave `Run` in place: it marks that the node holds the
-                    // baton until it yields again.
-                    return out;
+            match self.state.load(Ordering::Acquire) {
+                RUN => {
+                    let reason = if self.unparked.load(Ordering::Relaxed) {
+                        WakeReason::Unparked
+                    } else {
+                        WakeReason::Timeout
+                    };
+                    return (Time(self.at.load(Ordering::Relaxed)), reason);
                 }
-                Slot::Exit => {
-                    drop(slot);
-                    std::panic::resume_unwind(Box::new(ShutdownToken));
-                }
-                _ => self.cv.wait(&mut slot),
+                EXIT => std::panic::resume_unwind(Box::new(ShutdownToken)),
+                // Spurious returns and tokens left by an earlier grant just
+                // go round the loop again.
+                _ => std::thread::park(),
             }
         }
     }
@@ -285,5 +310,66 @@ impl<W: Send + 'static> NodeCtx<W> {
     pub fn schedule_hot(&self, after: Dur, f: crate::engine::HotFn<W>, a: u64, b: u64) {
         self.shared
             .schedule(self.now + after, EvKind::Hot { f, a, b });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Run `wait_for_run` on a fresh thread bound to `baton`, mapping a
+    /// teardown unwind to `Err(true)` and any other panic to `Err(false)`.
+    fn spawn_waiter(
+        baton: &Arc<Baton>,
+        go: mpsc::Receiver<()>,
+    ) -> std::thread::JoinHandle<Result<(Time, WakeReason), bool>> {
+        let b = baton.clone();
+        let handle = std::thread::spawn(move || {
+            go.recv().unwrap();
+            catch_unwind(AssertUnwindSafe(|| b.wait_for_run())).map_err(|p| p.is::<ShutdownToken>())
+        });
+        baton.bind(handle.thread().clone());
+        handle
+    }
+
+    #[test]
+    fn grant_before_first_wait_returns_at_once() {
+        let baton = Baton::new();
+        let (go, rx) = mpsc::channel();
+        let waiter = spawn_waiter(&baton, rx);
+        // The node thread has not reached its wait yet, so the wait must
+        // find `Run` before it ever parks.
+        baton.grant(Time(42), WakeReason::Unparked);
+        go.send(()).unwrap();
+        assert_eq!(waiter.join().unwrap(), Ok((Time(42), WakeReason::Unparked)));
+    }
+
+    #[test]
+    fn exit_unwinds_a_parked_node() {
+        let baton = Baton::new();
+        let (go, rx) = mpsc::channel();
+        let waiter = spawn_waiter(&baton, rx);
+        go.send(()).unwrap();
+        // Let the node park; the outcome is the same if it has not yet.
+        std::thread::sleep(Duration::from_millis(20));
+        baton.exit();
+        assert_eq!(waiter.join().unwrap(), Err(true));
+    }
+
+    #[test]
+    fn release_after_exit_keeps_exit() {
+        let baton = Baton::new();
+        baton.bind(std::thread::current());
+        baton.grant(Time(7), WakeReason::Timeout);
+        assert_eq!(baton.wait_for_run(), (Time(7), WakeReason::Timeout));
+        baton.exit();
+        baton.release();
+        // A grant racing the teardown keeps `Exit` too.
+        baton.grant(Time(8), WakeReason::Timeout);
+        let out = catch_unwind(AssertUnwindSafe(|| baton.wait_for_run()));
+        assert!(out.unwrap_err().is::<ShutdownToken>());
     }
 }

@@ -285,6 +285,9 @@ impl<W: Send + 'static> Core<W> {
         }
         st.stop = true;
         self.stopped.store(true, Ordering::Release);
+        // Wake after unlocking, so the woken threads do not block again on
+        // the lock this thread still holds.
+        drop(st);
         self.cv.notify_all();
     }
 
@@ -420,6 +423,7 @@ impl<W: Send + 'static> Core<W> {
                 st.stop = true;
                 self.stopped.store(true, Ordering::Release);
                 st.round += 1;
+                drop(st);
                 self.cv.notify_all();
                 false
             }
@@ -435,6 +439,7 @@ impl<W: Send + 'static> Core<W> {
                 if let Some(t) = &self.tracer {
                     t.instant(m.as_ns(), Track::ENGINE, TraceKind::ShardBarrier, st.round);
                 }
+                drop(st);
                 self.cv.notify_all();
                 true
             }
@@ -586,6 +591,7 @@ impl<W: Send + 'static> Sim<W> {
             wakes_coalesced: ran.wakes_coalesced,
             shards: Vec::new(),
             shards_requested: 0,
+            one_shard_reason: None,
             sync_events: 0,
             windows: 0,
             cross_unparks: 0,
@@ -716,6 +722,10 @@ impl<W: Send + 'static> Sim<W> {
                 })
                 .expect("spawn node thread");
             handles.push(handle);
+        }
+        // Every baton learns its node thread before the first grant.
+        for (baton, handle) in core.batons.iter().zip(&handles) {
+            baton.bind(handle.thread().clone());
         }
 
         // Bootstrap: every shard's first events run before any node does.
@@ -883,6 +893,7 @@ impl<W: Shardable> Sim<W> {
             wakes_coalesced: ran.wakes_coalesced,
             shards: ran.shards,
             shards_requested: requested_shards,
+            one_shard_reason: None,
             sync_events,
             windows: st.windows,
             cross_unparks: st.cross_unparks,

@@ -56,6 +56,11 @@ pub struct TrafficReport {
     /// Engine shards the run used (1 = one shard, as for every adaptively
     /// routed run; see [`sp_adapter::run_machine`]).
     pub shards: usize,
+    /// Shard count the run asked for (see
+    /// [`sp_sim::SimReport::shards_requested`]).
+    pub shards_requested: usize,
+    /// Why a run that asked for shards ran on one; `None` otherwise.
+    pub one_shard_reason: Option<&'static str>,
     /// Median request latency (scheduled instant → response landed), ns.
     pub p50_ns: u64,
     /// 99th-percentile latency, ns.
@@ -319,6 +324,8 @@ pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
         events: report.events,
         wall: report.wall,
         shards: report.shards.len().max(1),
+        shards_requested: report.shards_requested,
+        one_shard_reason: report.one_shard_reason,
         p50_ns: lat.quantile_ns(0.50),
         p99_ns: lat.quantile_ns(0.99),
         p999_ns: lat.quantile_ns(0.999),

@@ -20,7 +20,7 @@ use sp_adapter::{host, RoutePolicy, SpConfig, SpWorld};
 use sp_am::{Am, AmArgs, AmConfig, AmEnv, AmMachine};
 use sp_mpi::runner::MpiImpl;
 use sp_nas::{run_kernel_on, Kernel, NasClass};
-use sp_sim::{Dur, NodeId, Sim, SimReport, Time};
+use sp_sim::{Dur, NodeId, Sim, SimError, SimReport, Time};
 use sp_switch::FaultInjector;
 
 /// FNV-1a, the same construction the golden pins use.
@@ -102,6 +102,64 @@ fn pingpong_storm_parallel_matches_serial() {
             serial,
             "{shards} shards diverged"
         );
+    }
+}
+
+/// `nodes` programs each advancing 100 ns `steps` times in lockstep (the
+/// `engine/handoff` bench workload): every advance passes the baton to the
+/// next node, and `parked` (if any) parks forever instead.
+fn lockstep(nodes: usize, steps: u64, parked: Option<usize>) -> Sim<()> {
+    let mut sim = Sim::new((), 1);
+    for i in 0..nodes {
+        if Some(i) == parked {
+            sim.spawn(format!("parked{i}"), |ctx| {
+                ctx.park();
+            });
+        } else {
+            sim.spawn(format!("n{i}"), move |ctx| {
+                for _ in 0..steps {
+                    ctx.advance(Dur::ns(100));
+                }
+            });
+        }
+    }
+    sim
+}
+
+fn run_on(sim: Sim<()>, shards: usize) -> Result<SimReport<()>, SimError> {
+    if shards <= 1 {
+        sim.run()
+    } else {
+        sim.run_parallel(shards)
+    }
+}
+
+#[test]
+fn lockstep_64_nodes_parallel_matches_serial() {
+    let run = |shards| {
+        let r = run_on(lockstep(64, 50, None), shards).unwrap();
+        (r.end_time.as_ns(), r.events)
+    };
+    let serial = run(1);
+    assert_eq!(serial.0, 5_000, "every node ends after 50 x 100 ns");
+    for shards in [2, 4] {
+        assert_eq!(run(shards), serial, "{shards} shards diverged");
+    }
+}
+
+/// One of 64 nodes parks forever while the other 63 pass batons around
+/// it: the run ends in `Deadlock` naming only that node, and teardown
+/// unwinds and joins every node thread (this test hangs otherwise).
+#[test]
+fn one_parked_node_of_64_is_the_only_deadlock() {
+    for shards in [1, 2, 4] {
+        match run_on(lockstep(64, 50, Some(37)), shards) {
+            Err(SimError::Deadlock { at, parked }) => {
+                assert_eq!(parked, vec!["parked37".to_string()], "shards={shards}");
+                assert_eq!(at, Time(5_000), "shards={shards}");
+            }
+            other => panic!("shards={shards}: expected deadlock, got {other:?}"),
+        }
     }
 }
 
@@ -461,6 +519,30 @@ fn clamped_shard_count_is_recorded_in_report() {
     let report = m.run().unwrap();
     assert_eq!(report.shards_requested, 8, "requested count is recorded");
     assert_eq!(report.shards.len(), nodes, "effective count is clamped");
+    assert_eq!(report.one_shard_reason, None, "it still ran sharded");
+}
+
+#[test]
+fn adaptive_fallback_records_its_reason() {
+    let sp = SpConfig::multi_frame(2, 2)
+        .routed(RoutePolicy::Adaptive)
+        .parallel(4);
+    let mut m = AmMachine::new(sp, AmConfig::default(), 7);
+    for node in 0..4 {
+        m.spawn(format!("n{node}"), St::default(), |am: &mut Am<'_, St>| {
+            am.barrier();
+        });
+    }
+    let report = m.run().unwrap();
+    assert!(
+        report.shards.is_empty(),
+        "adaptive routing runs on one shard"
+    );
+    assert_eq!(report.shards_requested, 4);
+    assert_eq!(
+        report.one_shard_reason,
+        Some("adaptive routing reads the whole fabric")
+    );
 }
 
 /// Stress the inter-shard channel hand-off ordering: a small cross-shard
