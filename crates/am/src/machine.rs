@@ -3,11 +3,13 @@
 use crate::api::Am;
 use crate::config::AmConfig;
 use crate::mem::MemPool;
+use crate::stats::AmStats;
 use crate::wire::AmPacket;
 use crate::AmWorld;
 use sp_adapter::SpConfig;
 use sp_sim::{NodeId, ShardProfile, ShardReport, Sim, SimError, Time};
 use sp_trace::Tracer;
+use std::sync::{Arc, Mutex};
 
 /// A configured SP machine running Active Messages node programs.
 ///
@@ -31,6 +33,8 @@ pub struct AmMachine {
     nodes: usize,
     spawned: usize,
     parallel: usize,
+    /// Each node's protocol counters, stored when its program returns.
+    am_stats: Arc<Mutex<Vec<AmStats>>>,
 }
 
 /// Result of a completed AM simulation.
@@ -47,6 +51,8 @@ pub struct AmReport {
     pub dropped_overflow: u64,
     /// Packets dropped inside the switch fabric (fault injection).
     pub switch_dropped: u64,
+    /// Extra packet copies the switch fabric created (fault injection).
+    pub switch_duplicated: u64,
     /// Duplicate unpark wake-ups coalesced by the engine.
     pub wakes_coalesced: u64,
     /// Per-shard engine breakdown (empty on a serial run).
@@ -66,17 +72,12 @@ pub struct AmReport {
     /// PDES profile of a parallel run (window utilization, imbalance,
     /// sync overhead); `None` on a serial run.
     pub profile: Option<ShardProfile>,
+    /// Each node's [`Am::stats`] as its program returned, by node.
+    pub am_stats: Vec<AmStats>,
     /// The machine's final hardware state (switch/adapter statistics).
     pub world: AmWorld,
     /// The memory pool (inspect transfer results after the run).
     pub mem: MemPool,
-}
-
-impl AmReport {
-    /// Simulated events per wall-clock second (engine throughput).
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
 }
 
 impl AmMachine {
@@ -92,6 +93,7 @@ impl AmMachine {
             nodes,
             spawned: 0,
             parallel,
+            am_stats: Arc::new(Mutex::new(vec![AmStats::default(); nodes])),
         }
     }
 
@@ -162,12 +164,15 @@ impl AmMachine {
         prog: impl FnOnce(&mut Am<'_, S>) + Send + 'static,
     ) -> NodeId {
         assert!(self.spawned < self.nodes, "more programs than nodes");
+        let node = self.spawned;
         self.spawned += 1;
         let mem = self.mem.clone();
         let cfg = self.cfg.clone();
+        let am_stats = self.am_stats.clone();
         self.sim.spawn(name, move |ctx| {
             let mut am = Am::new(ctx, mem, cfg, state);
             prog(&mut am);
+            am_stats.lock().expect("am_stats poisoned")[node] = am.stats().clone();
         })
     }
 
@@ -193,12 +198,14 @@ impl AmMachine {
         assert_eq!(self.spawned, self.nodes, "every node needs a program");
         let mem = self.mem;
         let report = sp_adapter::run_machine(self.sim, self.parallel)?;
+        let am_stats = std::mem::take(&mut *self.am_stats.lock().expect("am_stats poisoned"));
         Ok(AmReport {
             end_time: report.end_time,
             events: report.events,
             wall: report.wall,
             dropped_overflow: report.world.dropped_overflow(),
             switch_dropped: report.world.switch.stats().dropped,
+            switch_duplicated: report.world.switch.stats().duplicated,
             wakes_coalesced: report.wakes_coalesced,
             shards: report.shards,
             shards_requested: report.shards_requested,
@@ -206,6 +213,7 @@ impl AmMachine {
             sync_events: report.sync_events,
             windows: report.windows,
             profile: report.profile,
+            am_stats,
             world: report.world,
             mem,
         })

@@ -521,3 +521,42 @@ fn chunk_pipeline_matches_figure_2() {
         );
     }
 }
+
+#[test]
+fn report_carries_each_nodes_final_stats_on_one_and_two_shards() {
+    use sp_am::AmStats;
+    use std::sync::Mutex;
+    for shards in [1, 2] {
+        let cfg = AmConfig {
+            keepalive_polls: 64,
+            ..AmConfig::default()
+        };
+        let mut m = AmMachine::new(SpConfig::thin(2).parallel(shards), cfg, 7);
+        // Losing the first request makes the receiver NACK the rest of
+        // the burst and the sender go back and retransmit.
+        m.configure_world(|w| w.switch.set_fault_injector(FaultInjector::drop_at([0])));
+        let seen = Arc::new(Mutex::new(vec![AmStats::default(); 2]));
+        for node in 0..2 {
+            let seen = seen.clone();
+            m.spawn(format!("n{node}"), St::default(), move |am| {
+                am.register(bump_count);
+                if node == 0 {
+                    for _ in 0..10 {
+                        am.request_1(1, 0, 0);
+                    }
+                } else {
+                    am.poll_until(|s| s.count == 10);
+                }
+                am.barrier();
+                seen.lock().unwrap()[node] = am.stats().clone();
+            });
+        }
+        let report = m.run().unwrap();
+        assert_eq!(report.shards.len(), if shards == 1 { 0 } else { 2 });
+        assert_eq!(report.am_stats, *seen.lock().unwrap(), "{shards} shard(s)");
+        let sum = |f: fn(&AmStats) -> u64| report.am_stats.iter().map(f).sum::<u64>();
+        assert!(sum(|s| s.packets_retransmitted) > 0, "{shards} shard(s)");
+        assert!(sum(|s| s.nacks_sent) > 0, "{shards} shard(s)");
+        assert_eq!(sum(|s| s.nacks_sent), sum(|s| s.nacks_received));
+    }
+}

@@ -4,8 +4,9 @@
 use sp_splitc::Platform;
 
 fn main() {
+    let mut runs = sp_bench::Runs::default();
     let quick = sp_bench::quick();
-    let data = sp_bench::splitc_exp::table5(quick);
+    let data = sp_bench::splitc_exp::table5(quick, &mut runs);
     println!("Table 5: Split-C benchmark execution times, 8 processors (seconds, scaled class)\n");
     print!("{:>12}", "Benchmark");
     for p in Platform::all() {
@@ -27,31 +28,6 @@ fn main() {
     // Figure 4 from the same data (normalized to SP AM, cpu/net split) —
     // printed here so `repro-all` doesn't pay for the sweep twice.
     println!("\nFigure 4: the same runs normalized to SP AM (cpu / net split)\n");
-    for (app, row) in &data {
-        let sp_total = row
-            .iter()
-            .find(|(p, _)| *p == Platform::SpAm)
-            .expect("SP AM row")
-            .1
-            .total
-            .as_secs();
-        println!("{}:", app.label());
-        println!(
-            "{:>16}  {:>8}  {:>8}  {:>8}",
-            "platform", "cpu", "net", "total"
-        );
-        for (p, t) in row {
-            println!(
-                "{:>16}  {:>8.2}  {:>8.2}  {:>8.2}",
-                p.name(),
-                t.cpu().as_secs() / sp_total,
-                t.comm.as_secs() / sp_total,
-                t.total.as_secs() / sp_total
-            );
-        }
-        println!();
-    }
-    println!("expected shape (paper): SP bars lowest cpu (fastest processor); SP AM net");
-    println!("below SP MPL net everywhere, drastically so for the sm sort variants.");
-    sp_bench::print_engine_summary();
+    sp_bench::splitc_exp::print_fig4(&data);
+    runs.print();
 }

@@ -11,6 +11,7 @@ use sp_bench::trace_rt;
 use sp_trace::{chrome, Metrics};
 
 fn main() {
+    let mut runs = sp_bench::Runs::default();
     let mut out = String::from("target/trace-rt.json");
     let mut iters: u32 = 8;
     let mut args = std::env::args().skip(1);
@@ -37,6 +38,7 @@ fn main() {
         dropped,
         report.events
     );
+    runs.add(&report);
 
     // Last measured iteration: steady state, far from warmup effects.
     let bd = trace_rt::breakdown(&records, iters as u64 - 1);
@@ -54,5 +56,5 @@ fn main() {
         out,
         json.len()
     );
-    sp_bench::print_engine_summary();
+    runs.print();
 }

@@ -62,11 +62,15 @@ fn main() {
         base.horizon_ns as f64 / 1_000.0
     );
 
+    let mut runs = sp_bench::Runs::default();
     let mut metrics = Vec::new();
     let mut sweeps = Vec::new();
     for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
         let sp = sp.clone().routed(policy).parallel(shards);
         let points = saturation_sweep(&base, &sp, scales);
+        for p in &points {
+            runs.add(&p.report);
+        }
         let r0 = &points[0].report;
         let engine = match (r0.shards, r0.one_shard_reason) {
             (1, Some(why)) => format!("serial: {} shards requested, {why}", r0.shards_requested),
@@ -146,6 +150,7 @@ fn main() {
     println!("{}", "-".repeat(54));
     for policy in [RoutePolicy::RoundRobin, RoutePolicy::Adaptive] {
         let r = run_traffic(&incast_cfg, sp.clone().routed(policy).parallel(shards));
+        runs.add(&r);
         println!(
             "{:<12} {:>10.2} {:>10.2} {:>10.2} {:>8}",
             format!("{policy:?}"),
@@ -174,7 +179,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    sp_bench::print_engine_summary();
+    runs.print();
 }
 
 /// The headline read of the sweep: where each policy's goodput stops

@@ -1,7 +1,9 @@
 //! # sp-bench — the experiment harness
 //!
 //! One function per table/figure of the paper, each returning plain data
-//! that the `src/bin/*` binaries print in the paper's layout. DESIGN.md
+//! that the `src/bin/*` binaries print in the paper's layout, and folding
+//! the report of every run it makes into the caller's [`Runs`], which the
+//! binary prints last as its engine/reliability footer. DESIGN.md
 //! maps every experiment id to its regenerating binary; EXPERIMENTS.md
 //! records paper-vs-measured values.
 //!
@@ -16,9 +18,12 @@ pub mod fmt;
 pub mod micro;
 pub mod mpi_exp;
 pub mod nas_exp;
+pub mod runs;
 pub mod splitc_exp;
 pub mod topo_exp;
 pub mod trace_rt;
+
+pub use runs::Runs;
 
 /// Default node count for the point-to-point experiments.
 pub const PAIR: usize = 2;
@@ -26,22 +31,4 @@ pub const PAIR: usize = 2;
 /// Quick mode (set `SP_BENCH_QUICK=1`): smaller sweeps for smoke runs.
 pub fn quick() -> bool {
     std::env::var("SP_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// Print the cumulative engine throughput of every simulation this binary
-/// ran (wall-clock + events/sec) — called at the end of each experiment
-/// binary so simulator-performance regressions show up in ordinary runs.
-pub fn print_engine_summary() {
-    println!("\n[engine] {}", sp_sim::stats::summary());
-    println!(
-        "[engine] drops: {} fifo-overflow, {} switch ({} duplicated); wakes coalesced: {}",
-        sp_adapter::gstats::dropped_overflow(),
-        sp_switch::gstats::dropped(),
-        sp_switch::gstats::duplicated(),
-        sp_sim::stats::wakes_coalesced(),
-    );
-    println!("[reliability] {}", sp_am::gstats::summary());
-    if let Some(par) = sp_sim::stats::parallel_summary() {
-        println!("[parallel] {par}");
-    }
 }

@@ -2,10 +2,10 @@
 //! scaled-up class sweep that exercises the fast-pathed engine on
 //! S/W-sized grids (ROADMAP: "scale the NAS grids back up").
 
+use crate::Runs;
 use sp_adapter::SpConfig;
 use sp_mpi::runner::MpiImpl;
-use sp_nas::{run_kernel, run_kernel_class, run_kernel_on, Kernel, NasClass, CHARGED_COMP_NS};
-use std::sync::atomic::Ordering;
+use sp_nas::{run_kernel_on, Kernel, NasClass};
 
 /// One Table 6 row.
 #[derive(Debug, Clone)]
@@ -21,12 +21,18 @@ pub struct NasRow {
 }
 
 /// Run Table 6 on `ranks` ranks.
-pub fn table6(ranks: usize) -> Vec<NasRow> {
+pub fn table6(ranks: usize, runs: &mut Runs) -> Vec<NasRow> {
     Kernel::all()
         .into_iter()
         .map(|kernel| {
-            let f = run_kernel(kernel, MpiImpl::MpiF, ranks, 5);
-            let am = run_kernel(kernel, MpiImpl::AmOptimized, ranks, 5);
+            let mut run = |imp| {
+                let sp = SpConfig::thin(ranks);
+                let (r, report) = run_kernel_on(kernel, imp, sp, 5, NasClass::Reduced);
+                runs.add(&report);
+                r
+            };
+            let f = run(MpiImpl::MpiF);
+            let am = run(MpiImpl::AmOptimized);
             NasRow {
                 kernel,
                 mpif_s: f.time.as_secs(),
@@ -75,13 +81,13 @@ pub struct WidePoint {
 
 /// The wide-node sweep: each kernel at Class S and W (quick: the reduced
 /// class only) on MPI-AM, on thin vs wide nodes. NAS flops are charged at
-/// the fixed sustained Power2 rate regardless of node flavour, so the
-/// per-run delta of [`CHARGED_COMP_NS`] is the same on both; what moves
+/// the fixed sustained Power2 rate regardless of node flavour, so each
+/// run's [`NasResult::comp_ns`] is the same on both; what moves
 /// is the communication side, which prices through the wide CostModel's
 /// faster memory system and I/O bus. The comm fraction is
 /// `1 - comp_ns / (ranks * end_ns)` — everything that is not charged
 /// computation, including wait time, counted against aggregate rank-time.
-pub fn wide_sweep(ranks: usize, quick: bool) -> Vec<WidePoint> {
+pub fn wide_sweep(ranks: usize, quick: bool, runs: &mut Runs) -> Vec<WidePoint> {
     let classes: &[NasClass] = if quick {
         &[NasClass::Reduced]
     } else {
@@ -94,11 +100,10 @@ pub fn wide_sweep(ranks: usize, quick: bool) -> Vec<WidePoint> {
                 ("thin", SpConfig::thin(ranks)),
                 ("wide", SpConfig::wide(ranks)),
             ] {
-                let comp0 = CHARGED_COMP_NS.load(Ordering::Relaxed);
-                let (r, run) = run_kernel_on(kernel, MpiImpl::AmOptimized, sp, 5, class);
-                let comp_ns = CHARGED_COMP_NS.load(Ordering::Relaxed) - comp0;
-                let agg_ns = (ranks as u64 * run.end_ns).max(1);
-                let comp_frac = comp_ns as f64 / agg_ns as f64;
+                let (r, report) = run_kernel_on(kernel, MpiImpl::AmOptimized, sp, 5, class);
+                runs.add(&report);
+                let agg_ns = (ranks as u64 * report.end_ns).max(1);
+                let comp_frac = r.comp_ns as f64 / agg_ns as f64;
                 out.push(WidePoint {
                     kernel,
                     class,
@@ -113,10 +118,10 @@ pub fn wide_sweep(ranks: usize, quick: bool) -> Vec<WidePoint> {
     out
 }
 
-/// The class sweep: every kernel at every class on MPI-AM, with per-run
-/// engine throughput measured by deltaing the process-wide engine stats
-/// around each run. `quick` limits the sweep to the reduced class.
-pub fn class_sweep(ranks: usize, quick: bool) -> Vec<ClassPoint> {
+/// The class sweep: every kernel at every class on MPI-AM, with each run's
+/// engine throughput from its own report. `quick` limits the sweep to the
+/// reduced class.
+pub fn class_sweep(ranks: usize, quick: bool, runs: &mut Runs) -> Vec<ClassPoint> {
     let classes: &[NasClass] = if quick {
         &[NasClass::Reduced]
     } else {
@@ -125,17 +130,15 @@ pub fn class_sweep(ranks: usize, quick: bool) -> Vec<ClassPoint> {
     let mut out = Vec::new();
     for &class in classes {
         for kernel in Kernel::all() {
-            let (_, ev0, wall0) = sp_sim::stats::snapshot();
-            let r = run_kernel_class(kernel, MpiImpl::AmOptimized, ranks, 5, class);
-            let (_, ev1, wall1) = sp_sim::stats::snapshot();
-            let events = ev1 - ev0;
-            let wall = (wall1 - wall0).as_secs_f64();
+            let sp = SpConfig::thin(ranks);
+            let (r, report) = run_kernel_on(kernel, MpiImpl::AmOptimized, sp, 5, class);
+            runs.add(&report);
             out.push(ClassPoint {
                 kernel,
                 class,
                 virtual_s: r.time.as_secs(),
-                events,
-                events_per_sec: events as f64 / wall.max(1e-9),
+                events: report.events,
+                events_per_sec: report.events as f64 / report.wall.as_secs_f64().max(1e-9),
             });
         }
     }

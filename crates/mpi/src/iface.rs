@@ -45,6 +45,8 @@ pub trait Mpi {
     fn now(&self) -> Time;
     /// Charge computation time.
     fn work(&mut self, d: Dur);
+    /// Total computation charged through [`Mpi::work`] on this rank so far.
+    fn worked(&self) -> Dur;
 
     /// `MPI_Isend`: start a send; the buffer is captured (reusable
     /// immediately, like a buffered send).

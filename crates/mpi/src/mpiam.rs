@@ -726,6 +726,8 @@ pub struct MpiAm<'a, 'c> {
     reqs: HashMap<u64, ReqRec>,
     /// Snapshot of rendezvous send data, keyed by xfer.
     rdv_data: HashMap<u32, (Vec<u8>, usize)>, // (data, prefix_already_sent)
+    /// Computation charged through [`Mpi::work`].
+    worked: Dur,
 }
 
 impl MpiSt {
@@ -816,6 +818,7 @@ impl<'a, 'c> MpiAm<'a, 'c> {
             next_req: 0,
             reqs: HashMap::new(),
             rdv_data: HashMap::new(),
+            worked: Dur::ZERO,
         }
     }
 
@@ -944,7 +947,12 @@ impl Mpi for MpiAm<'_, '_> {
     }
 
     fn work(&mut self, d: Dur) {
+        self.worked += d;
         self.am.work(d);
+    }
+
+    fn worked(&self) -> Dur {
+        self.worked
     }
 
     fn progress(&mut self) {

@@ -122,6 +122,8 @@ pub struct MpiF<'a, 'c> {
     reqs: HashMap<u64, ReqRec>,
     next_req: u64,
     next_xfer: u32,
+    /// Computation charged through [`Mpi::work`].
+    worked: Dur,
 }
 
 impl<'a, 'c> MpiF<'a, 'c> {
@@ -142,6 +144,7 @@ impl<'a, 'c> MpiF<'a, 'c> {
             reqs: HashMap::new(),
             next_req: 0,
             next_xfer: 1,
+            worked: Dur::ZERO,
         }
     }
 
@@ -280,7 +283,12 @@ impl Mpi for MpiF<'_, '_> {
     }
 
     fn work(&mut self, d: Dur) {
+        self.worked += d;
         self.mpl.work(d);
+    }
+
+    fn worked(&self) -> Dur {
+        self.worked
     }
 
     fn progress(&mut self) {

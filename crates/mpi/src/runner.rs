@@ -58,8 +58,22 @@ pub struct MpiRunReport {
     /// the same observable-state construction the golden pins use. Two runs
     /// with equal hashes moved every packet identically.
     pub report_hash: u64,
+    /// Wall-clock duration of the run (host time: leave it out of equality checks).
+    pub wall: std::time::Duration,
+    /// Duplicate unpark wake-ups coalesced by the engine.
+    pub wakes_coalesced: u64,
+    /// Packets dropped to receive-FIFO overflow, summed over all adapters.
+    pub dropped_overflow: u64,
+    /// Packets dropped inside the switch fabric (fault injection).
+    pub switch_dropped: u64,
+    /// Extra packet copies the switch fabric created (fault injection).
+    pub switch_duplicated: u64,
+    /// Each rank's AM protocol counters at program end; empty for MPI-F.
+    pub am_stats: Vec<sp_am::AmStats>,
     /// Per-shard engine breakdown (empty on a serial run).
     pub shards: Vec<sp_sim::ShardReport>,
+    /// Shards requested via [`SpConfig::parallel`], before any clamp.
+    pub shards_requested: usize,
     /// Inter-shard synchronization events (0 on a serial run).
     pub sync_events: u64,
     /// Conservative lookahead windows (0 on a serial run).
@@ -166,7 +180,14 @@ pub fn run_mpi_report<R: Send + 'static>(
                 end_ns,
                 events: r.events,
                 report_hash: world_hash(end_ns, r.events, &r.world),
+                wall: r.wall,
+                wakes_coalesced: r.wakes_coalesced,
+                dropped_overflow: r.dropped_overflow,
+                switch_dropped: r.switch_dropped,
+                switch_duplicated: r.switch_duplicated,
+                am_stats: r.am_stats,
                 shards: r.shards,
+                shards_requested: r.shards_requested,
                 sync_events: r.sync_events,
                 windows: r.windows,
                 profile: r.profile,
@@ -191,7 +212,14 @@ pub fn run_mpi_report<R: Send + 'static>(
                 end_ns,
                 events: r.events,
                 report_hash: world_hash(end_ns, r.events, &r.world),
+                wall: r.wall,
+                wakes_coalesced: r.wakes_coalesced,
+                dropped_overflow: r.world.dropped_overflow(),
+                switch_dropped: r.world.switch.stats().dropped,
+                switch_duplicated: r.world.switch.stats().duplicated,
+                am_stats: Vec::new(),
                 shards: r.shards,
+                shards_requested: r.shards_requested,
                 sync_events: r.sync_events,
                 windows: r.windows,
                 profile: r.profile,

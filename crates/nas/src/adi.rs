@@ -198,6 +198,7 @@ fn run_adi(mpi: &mut dyn Mpi, p: &AdiParams) -> NasResult {
     NasResult {
         time: mpi.now() - t0,
         checksum: global,
+        comp_ns: mpi.worked().0,
     }
 }
 

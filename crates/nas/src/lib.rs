@@ -22,7 +22,7 @@
 //!
 //! Run a kernel with [`run_kernel`]; each returns a [`NasResult`] with the
 //! timed section's virtual duration and a deterministic residual checksum.
-//! [`run_kernel_class`] scales the grids and iteration counts up through
+//! [`run_kernel_on`] scales the grids and iteration counts up through
 //! [`NasClass::S`] and [`NasClass::W`]; the reduced class stays the
 //! test-time default.
 
@@ -34,27 +34,16 @@ mod ft;
 mod lu;
 mod mg;
 
-pub use common::{Kernel, NasClass, NasResult, CHARGED_COMP_NS};
+pub use common::{Kernel, NasClass, NasResult};
 
 use sp_adapter::SpConfig;
 use sp_mpi::runner::{run_mpi_report, MpiImpl, MpiRunReport};
 
-/// Run `kernel` at the reduced (test-time default) class. See
-/// [`run_kernel_class`] for the scaled-up S/W-sized grids.
+/// Run `kernel` on `ranks` thin ranks of `imp` at the reduced (test-time
+/// default) class; returns the slowest rank's timed duration and the global
+/// residual checksum. See [`run_kernel_on`] for the S/W-sized grids.
 pub fn run_kernel(kernel: Kernel, imp: MpiImpl, ranks: usize, seed: u64) -> NasResult {
-    run_kernel_class(kernel, imp, ranks, seed, NasClass::Reduced)
-}
-
-/// Run `kernel` on `ranks` ranks of `imp` at problem `class`; returns the
-/// slowest rank's timed duration and the global residual checksum.
-pub fn run_kernel_class(
-    kernel: Kernel,
-    imp: MpiImpl,
-    ranks: usize,
-    seed: u64,
-    class: NasClass,
-) -> NasResult {
-    run_kernel_on(kernel, imp, SpConfig::thin(ranks), seed, class).0
+    run_kernel_on(kernel, imp, SpConfig::thin(ranks), seed, NasClass::Reduced).0
 }
 
 /// Run `kernel` at `class` on explicit SP hardware — a wide-node partition
@@ -86,5 +75,13 @@ pub fn run_kernel_on(
             "ranks disagree on the residual"
         );
     }
-    (NasResult { time, checksum }, run)
+    let comp_ns = results.iter().map(|r| r.comp_ns).sum();
+    (
+        NasResult {
+            time,
+            checksum,
+            comp_ns,
+        },
+        run,
+    )
 }

@@ -102,6 +102,7 @@ pub fn run(mpi: &mut dyn Mpi, class: NasClass) -> NasResult {
     NasResult {
         time: mpi.now() - t0,
         checksum: global,
+        comp_ns: mpi.worked().0,
     }
 }
 

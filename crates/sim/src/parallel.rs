@@ -60,8 +60,8 @@
 //! see `tests/parallel.rs` and the proptest equivalence suite.
 
 use crate::engine::{
-    broadcast_kind, exec_event, replay_unpark, stats, EvKind, EventCtx, GlobalBudget, Inner,
-    NState, NodeId, NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
+    broadcast_kind, exec_event, replay_unpark, EvKind, EventCtx, GlobalBudget, Inner, NState,
+    NodeId, NodeMeta, Sched, ShardProfile, ShardReport, ShardSlot, Shared, Sim, SimReport,
 };
 use crate::error::SimError;
 use crate::node::{Baton, NodeCtx, ShutdownToken, WakeReason};
@@ -583,7 +583,6 @@ impl<W: Send + 'static> Sim<W> {
         let world = self.world.take().expect("world present");
         let mut ran = self.execute(vec![world], None)?;
         let wall = started.elapsed();
-        stats::record(ran.events, ran.wakes_coalesced, wall);
         Ok(SimReport {
             world: ran.worlds.pop().expect("one world"),
             end_time: ran.end_time,
@@ -829,7 +828,7 @@ impl<W: Shardable> Sim<W> {
     /// `events`, the rest are `sync_events`). `num_shards` is clamped to the
     /// node count; the requested value is recorded in
     /// [`SimReport::shards_requested`] and a clamp is flagged in the
-    /// `[parallel]` stats summary. The event budget
+    /// `[parallel]` footer line of the experiment binaries. The event budget
     /// ([`Sim::set_event_budget`]) is one run-wide atomic shared by all
     /// shards, charged for serial-comparable events only, so serial and
     /// parallel runs trip `EventBudgetExhausted` at the same event count.
@@ -870,13 +869,6 @@ impl<W: Shardable> Sim<W> {
         let world = W::merge(ran.worlds);
         let sync_events = ran.shards.iter().map(|s| s.sync_events).sum();
         let wall = started.elapsed();
-        stats::record(ran.events, ran.wakes_coalesced, wall);
-        stats::record_parallel(
-            requested_shards as u64,
-            num_shards as u64,
-            sync_events,
-            st.windows,
-        );
         let profile = ShardProfile {
             windows: st.windows,
             window_ns: st.window_ns,
@@ -885,7 +877,6 @@ impl<W: Shardable> Sim<W> {
             sync_events: ran.shards.iter().map(|s| s.sync_events).collect(),
             active_windows: st.active_windows,
         };
-        stats::record_profile(&profile);
         Ok(SimReport {
             world,
             end_time: ran.end_time,

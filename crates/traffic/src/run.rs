@@ -78,6 +78,14 @@ pub struct TrafficReport {
     pub dropped_overflow: u64,
     /// Packets dropped inside the switch fabric (0 without fault injection).
     pub switch_dropped: u64,
+    /// Extra packet copies the switch fabric created (fault injection).
+    pub switch_duplicated: u64,
+    /// Duplicate unpark wake-ups coalesced by the engine.
+    pub wakes_coalesced: u64,
+    /// Each node's AM protocol counters when its program returned.
+    pub am_stats: Vec<sp_am::AmStats>,
+    /// PDES profile of a sharded run; `None` on one shard.
+    pub profile: Option<sp_sim::ShardProfile>,
     /// FNV-1a fingerprint over every sample and the machine counters; the
     /// serial ≡ parallel determinism assertion compares this.
     pub hash: u64,
@@ -334,6 +342,10 @@ pub fn run_traffic(cfg: &TrafficConfig, sp: SpConfig) -> TrafficReport {
         goodput_mb_s: total_bytes as f64 / (last_done_ns.max(1) as f64 / 1e9) / 1e6,
         dropped_overflow: report.dropped_overflow,
         switch_dropped: report.switch_dropped,
+        switch_duplicated: report.switch_duplicated,
+        wakes_coalesced: report.wakes_coalesced,
+        am_stats: report.am_stats,
+        profile: report.profile,
         hash: h.finish(),
     }
 }
